@@ -14,12 +14,15 @@ Hot-path design
 The convolution and pooling paths are the throughput bottleneck of every
 split-learning experiment, so they are written to minimise allocations:
 
-* patches are gathered through :func:`numpy.lib.stride_tricks.sliding_window_view`
-  (a zero-copy strided view) and rearranged into the GEMM operand with a
-  **single** copy, replacing the seed implementation's im2col-loop copy
-  followed by a transpose-reshape copy;
-* transient buffers (the zero-padded input, the inference-time column
-  matrix, the pooling window matrix) come from the shape-keyed
+* every window gather (conv patches, :func:`im2col`, padded max-pool
+  windows) is **one** ``np.copyto`` from a
+  :func:`numpy.lib.stride_tricks.sliding_window_view` — no per-offset
+  copy loops.  ``conv2d`` first copies its input once into a transient
+  zero-bordered channels-last buffer, so the patch copy moves
+  contiguous ``kw*C`` runs straight into the patch-major
+  ``(N, oh, ow, kh, kw, C)`` GEMM operand;
+* transient buffers (the inference-time column matrix, the pooling
+  window matrix and pooling pads) come from the shape-keyed
   :mod:`repro.utils.perf` workspace cache instead of fresh allocations.
   Only buffers whose contents are never read by a backward closure after
   the op returns may live in a workspace — see the cache's safety
@@ -123,65 +126,32 @@ def _strided_windows(padded: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> 
     return windows[:, :, ::sh, ::sw]
 
 
-def _gather_patches_direct(x: np.ndarray, out: np.ndarray, ph: int, pw: int) -> np.ndarray:
-    """Stride-1 patch gather straight from the *unpadded* input.
+def _gather_conv_patches(x: np.ndarray, out: np.ndarray, stride: Tuple[int, int],
+                         padding: Tuple[int, int]) -> np.ndarray:
+    """Fill ``out`` (``(N, oh, ow, kh, kw, C)``) with the patches of NCHW ``x``.
 
-    Rather than materialising a zero-padded copy of ``x`` and gathering
-    from it, each kernel offset copies its clipped in-bounds window and
-    zeroes only the thin boundary strips the padding would have
-    contributed — one full write plus one full read of the image less
-    than the pad-then-gather path.
+    ``x`` is copied once into a transient zero-bordered channels-last
+    buffer ``(N, H+2ph, W+2pw, C)``; one ``copyto`` from its strided
+    window view then writes every patch.  The ``(kw, C)`` tail of each
+    patch row is contiguous on both sides, so the copy moves ``kw*C``
+    runs, and ``out.reshape(N*oh*ow, kh*kw*C)`` is a zero-copy GEMM
+    operand.  The pad buffer is never cached: one per batch/layer shape
+    would pin far more memory than it saves.
     """
-    _, _, h, w = x.shape
-    _, oh, ow, kh, kw, _ = out.shape
-    for i in range(kh):
-        di = i - ph
-        r0, r1 = max(0, -di), min(oh, h - di)
-        for j in range(kw):
-            dj = j - pw
-            c0, c1 = max(0, -dj), min(ow, w - dj)
-            view = out[:, :, :, i, j, :]
-            if r0 > 0:
-                view[:, :r0, :, :] = 0.0
-            if r1 < oh:
-                view[:, r1:, :, :] = 0.0
-            if c0 > 0:
-                view[:, r0:r1, :c0, :] = 0.0
-            if c1 < ow:
-                view[:, r0:r1, c1:, :] = 0.0
-            view[:, r0:r1, c0:c1, :] = (
-                x[:, :, r0 + di:r1 + di, c0 + dj:c1 + dj].transpose(0, 2, 3, 1)
-            )
-    return out
-
-
-def _gather_patches(padded: np.ndarray, out: np.ndarray, sh: int, sw: int) -> np.ndarray:
-    """Fill ``out`` (``(N, oh, ow, kh, kw, C)``) with convolution patches.
-
-    Writing the patch-major layout directly — one vectorised slice
-    assignment per kernel offset — is the contiguous-reshape fast path:
-    ``out.reshape(N*oh*ow, kh*kw*C)`` is then a zero-copy view, where the
-    seed implementation paid a second transpose-reshape copy.  Keeping
-    the channel axis *last* makes every slice assignment write
-    contiguous ``C``-sized chunks instead of single strided elements.
-    """
-    _, oh, ow, kh, kw, _ = out.shape
-    for i in range(kh):
-        i_end = i + sh * oh
-        for j in range(kw):
-            j_end = j + sw * ow
-            out[:, :, :, i, j, :] = padded[:, :, i:i_end:sh, j:j_end:sw].transpose(0, 2, 3, 1)
-    return out
-
-
-def _gather_windows(padded: np.ndarray, out: np.ndarray, sh: int, sw: int) -> np.ndarray:
-    """Fill ``out`` (``(N, C, oh, ow, kh, kw)``) with pooling windows."""
-    _, _, oh, ow, kh, kw = out.shape
-    for i in range(kh):
-        i_end = i + sh * oh
-        for j in range(kw):
-            j_end = j + sw * ow
-            out[:, :, :, :, i, j] = padded[:, :, i:i_end:sh, j:j_end:sw]
+    n, c, h, w = x.shape
+    _, _, _, kh, kw, _ = out.shape
+    sh, sw = stride
+    ph, pw = padding
+    padded = np.empty((n, h + 2 * ph, w + 2 * pw, c), dtype=x.dtype)
+    if ph:
+        padded[:, :ph] = 0.0
+        padded[:, ph + h:] = 0.0
+    if pw:
+        padded[:, ph:ph + h, :pw] = 0.0
+        padded[:, ph:ph + h, pw + w:] = 0.0
+    padded[:, ph:ph + h, pw:pw + w] = x.transpose(0, 2, 3, 1)
+    windows = sliding_window_view(padded, (kh, kw), axis=(1, 2))[:, ::sh, ::sw]
+    np.copyto(out, windows.transpose(0, 1, 2, 4, 5, 3))
     return out
 
 
@@ -202,21 +172,13 @@ def im2col(
     -------
     Array of shape ``(N, C, kh, kw, out_h, out_w)``.
     """
-    n, c, h, w = images.shape
     kh, kw = kernel_size
     sh, sw = stride
     ph, pw = padding
-    out_h = conv_output_size(h, kh, sh, ph)
-    out_w = conv_output_size(w, kw, sw, pw)
-
-    padded = _pad_images(images, ph, pw)
-    cols = np.empty((n, c, kh, kw, out_h, out_w), dtype=images.dtype)
-    for i in range(kh):
-        i_end = i + sh * out_h
-        for j in range(kw):
-            j_end = j + sw * out_w
-            cols[:, :, i, j, :, :] = padded[:, :, i:i_end:sh, j:j_end:sw]
-    return cols
+    windows = _strided_windows(_pad_images(images, ph, pw), kh, kw, sh, sw)
+    # copy() always returns a fresh C-ordered array, even when the view
+    # would already be contiguous (1x1 kernel, stride 1, no padding).
+    return windows.transpose(0, 1, 4, 5, 2, 3).copy()
 
 
 def col2im(
@@ -315,22 +277,15 @@ def conv2d(
 
     counters.add("conv2d_forward")
     backend = get_backend()
-    # Single-copy rearrangement into the GEMM operand (N*oh*ow, C*kh*kw):
-    # the patches are gathered directly in patch-major order, so the
-    # reshape below is a zero-copy view (no second transpose-copy).
+    # The patches are gathered directly in patch-major order, so the
+    # reshape below is a zero-copy view of the GEMM operand.
     if requires:
         # The backward pass reads cols_matrix (weight gradient GEMM), so
         # it must own its storage — no workspace reuse here.
         patches = np.empty((n, out_h, out_w, kh, kw, c_in), dtype=x.dtype)
     else:
         patches = workspace("conv2d.cols", (n, out_h, out_w, kh, kw, c_in), x.dtype)
-    if sh == 1 and sw == 1:
-        # Stride-1 (the paper's convs): clip per offset instead of
-        # materialising a zero-padded copy of the input.
-        _gather_patches_direct(x, patches, ph, pw)
-    else:
-        padded = _pad_images(x, ph, pw, scratch_tag="conv2d.pad")
-        _gather_patches(padded, patches, sh, sw)
+    _gather_conv_patches(x, patches, stride, padding)
     cols_matrix = patches.reshape(n * out_h * out_w, kh * kw * c_in)
     # Weight rearranged to match the (kh, kw, C) patch order; the copy is
     # kernel-sized (tiny) and shared by forward and backward.
@@ -552,7 +507,7 @@ def max_pool2d(inputs: Tensor, kernel_size: IntOrPair = 2, stride: Optional[IntO
     # gather); the backward closure touches just its *shape*, so the
     # buffer can come from the workspace cache.
     scratch = workspace("max_pool2d.cols", (n, c, out_h, out_w, kh, kw), x.dtype)
-    _gather_windows(padded, scratch, sh, sw)
+    np.copyto(scratch, _strided_windows(padded, kh, kw, sh, sw))
     flat = scratch.reshape(n, c, out_h, out_w, kh * kw)
     argmax = flat.argmax(axis=-1)  # (N, C, oh, ow)
     out_data = np.take_along_axis(flat, argmax[..., None], axis=-1)[..., 0]

@@ -1,10 +1,9 @@
-"""Shared utilities: seeding, logging, timing, perf counters, arenas and tables."""
+"""Shared utilities: seeding, logging, perf counters, arenas and tables."""
 
 from . import arena, perf
 from .arena import ActivationArena
 from .logging import get_logger, set_verbosity
 from .rng import SeedSequence, seeded_rng, spawn_rngs
-from .timer import Timer
 from .tables import format_table
 
 __all__ = [
@@ -13,7 +12,6 @@ __all__ = [
     "seeded_rng",
     "spawn_rngs",
     "SeedSequence",
-    "Timer",
     "format_table",
     "arena",
     "ActivationArena",

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.backend import get_backend
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
+from repro.utils import perf
 
 
 def naive_conv2d(x, w, b, stride, padding):
@@ -26,6 +28,129 @@ def naive_conv2d(x, w, b, stride, padding):
             if b is not None:
                 out[sample, channel] += b[channel]
     return out
+
+
+def loop_patches(x, kernel, stride, padding):
+    """Reference gather: ``(N, oh, ow, kh, kw, C)`` patches, one copy per kernel offset."""
+    n, c, h, w = x.shape
+    kh, kw = kernel
+    sh, sw = stride
+    ph, pw = padding
+    padded = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    out_h = F.conv_output_size(h, kh, sh, ph)
+    out_w = F.conv_output_size(w, kw, sw, pw)
+    out = np.empty((n, out_h, out_w, kh, kw, c), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            window = padded[:, :, i:i + sh * out_h:sh, j:j + sw * out_w:sw]
+            out[:, :, :, i, j, :] = window.transpose(0, 2, 3, 1)
+    return out
+
+
+def loop_conv2d(x, w, b, grad, stride, padding):
+    """Reference conv on :func:`loop_patches`, with ``conv2d``'s GEMMs and fold.
+
+    Returns the output and the input, weight and bias gradients for the
+    upstream gradient ``grad``.
+    """
+    backend = get_backend()
+    n, c_in, h, w_in = x.shape
+    c_out, _, kh, kw = w.shape
+    sh, sw = stride
+    ph, pw = padding
+    patches = loop_patches(x, (kh, kw), stride, padding)
+    _, out_h, out_w = patches.shape[:3]
+    cols = patches.reshape(n * out_h * out_w, -1)
+    weight_matrix = np.ascontiguousarray(w.transpose(0, 2, 3, 1)).reshape(c_out, -1)
+    out = backend.gemm(cols, weight_matrix.T, bias=b)
+    out = out.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2)
+    grad_matrix = np.ascontiguousarray(grad.transpose(0, 2, 3, 1)).reshape(-1, c_out)
+    grad_w = backend.gemm(grad_matrix.T, cols).reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)
+    grad_patches = backend.gemm(grad_matrix, weight_matrix).reshape(patches.shape)
+    grad_padded = np.zeros((n, h + 2 * ph, w_in + 2 * pw, c_in), dtype=grad.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            grad_padded[:, i:i + sh * out_h:sh, j:j + sw * out_w:sw] += grad_patches[:, :, :, i, j]
+    grad_x = grad_padded[:, ph:ph + h, pw:pw + w_in].transpose(0, 3, 1, 2)
+    return out, grad_x, grad_w, grad.sum(axis=(0, 2, 3))
+
+
+def make_images(rng, shape, layout):
+    """Random NCHW images, NCHW-contiguous or channels-last in memory."""
+    n, c, h, w = shape
+    if layout == "channels_last":
+        return rng.standard_normal((n, h, w, c)).transpose(0, 3, 1, 2)
+    return rng.standard_normal(shape)
+
+
+#: (kernel, stride, padding) pairs: the square grid plus per-axis mixes.
+GATHER_GEOMETRIES = [
+    *(((kernel, kernel), (stride, stride), (padding, padding))
+      for stride in (1, 2)
+      for padding in (0, 1, 2)
+      for kernel in (1, 2, 3)),
+    ((3, 2), (1, 2), (2, 0)),
+    ((1, 3), (2, 1), (0, 1)),
+    ((2, 3), (2, 1), (1, 2)),
+]
+GATHER_CASES = [
+    (*geometry, layout) for geometry in GATHER_GEOMETRIES
+    for layout in ("nchw", "channels_last")
+]
+#: Odd and even spatial sizes, each with 1, 3 and 16 channels.
+GATHER_SHAPES = [(2, c, h, w) for c in (1, 3, 16) for h, w in ((5, 7), (6, 8))]
+
+
+class TestGather:
+    @pytest.mark.parametrize("kernel,stride,padding,layout", GATHER_CASES)
+    def test_gathers_match_per_offset_loop(self, rng, kernel, stride, padding, layout):
+        for shape in GATHER_SHAPES:
+            x = make_images(rng, shape, layout)
+            expected = loop_patches(x, kernel, stride, padding)
+            patches = F._gather_conv_patches(x, np.empty_like(expected), stride, padding)
+            assert np.array_equal(patches, expected)
+            cols = F.im2col(x, kernel, stride, padding)
+            assert np.array_equal(cols, expected.transpose(0, 5, 3, 4, 1, 2))
+
+    @pytest.mark.parametrize("grad_on", [True, False])
+    @pytest.mark.parametrize("kernel,stride,padding,layout", GATHER_CASES)
+    def test_conv2d_bitwise_matches_loop_reference(self, rng, kernel, stride, padding,
+                                                   layout, grad_on):
+        for shape in GATHER_SHAPES:
+            x = make_images(rng, shape, layout)
+            w = rng.standard_normal((4, shape[1], *kernel))
+            b = rng.standard_normal(4)
+            tx, tw, tb = (Tensor(a, requires_grad=grad_on) for a in (x, w, b))
+            out = F.conv2d(tx, tw, tb, stride=stride, padding=padding)
+            grad = rng.standard_normal(out.shape)
+            expected = loop_conv2d(x, w, b, grad, stride, padding)
+            assert np.array_equal(out.data, expected[0])
+            if grad_on:
+                out.backward(grad)
+                for actual, reference in zip((tx.grad, tw.grad, tb.grad), expected[1:]):
+                    assert np.array_equal(actual, reference)
+
+    @pytest.mark.parametrize("grad_on", [True, False])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv2d_caches_no_pad_buffer(self, rng, stride, grad_on):
+        x = Tensor(rng.standard_normal((2, 3, 6, 6)), requires_grad=grad_on)
+        w = Tensor(rng.standard_normal((4, 3, 3, 3)), requires_grad=grad_on)
+        F.conv2d(x, w, stride=stride, padding=1)
+        assert not [key for key in perf.workspaces._buffers if key[0].startswith("conv2d.pad")]
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_padded_max_pool_training_matches_window_max(self, rng, stride, gradcheck):
+        x = rng.standard_normal((2, 3, 5, 6))
+        expected = loop_patches(x, (3, 3), (stride, stride), (1, 1)).max(axis=(3, 4))
+        tx = Tensor(x, requires_grad=True)
+        out = F.max_pool2d(tx, 3, stride=stride, padding=1)
+        assert np.array_equal(out.data, expected.transpose(0, 3, 1, 2))
+        out.sum().backward()
+
+        def loss():
+            return float(loop_patches(x, (3, 3), (stride, stride), (1, 1)).max(axis=(3, 4)).sum())
+
+        np.testing.assert_allclose(tx.grad, gradcheck(loss, x), atol=1e-5)
 
 
 class TestIm2Col:
