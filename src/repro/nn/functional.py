@@ -21,6 +21,13 @@ split-learning experiment, so they are written to minimise allocations:
   zero-bordered channels-last buffer, so the patch copy moves
   contiguous ``kw*C`` runs straight into the patch-major
   ``(N, oh, ow, kh, kw, C)`` GEMM operand;
+* ``conv2d``'s input gradient never builds the ``(N*oh*ow, kh*kw*C)``
+  patch-gradient matrix: one backend GEMM per kernel offset fills a
+  reused ``(N*oh*ow, C)`` plane that is added into a zeroed
+  channels-last padded image, so each shifted add moves contiguous
+  ``ow*C`` runs and every stride takes the same loop.  Each element
+  sums the same products in the same order as a full GEMM followed by
+  a fold;
 * transient buffers (the inference-time column matrix, the pooling
   window matrix and pooling pads) come from the shape-keyed
   :mod:`repro.utils.perf` workspace cache instead of fresh allocations.
@@ -323,40 +330,22 @@ def conv2d(
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=(0, 2, 3)), owned=True)
         if inputs.requires_grad:
-            # The patch-gradient matrix is transient scratch — it is fully
-            # folded into grad_padded below before the closure returns —
-            # so the GEMM writes into a workspace-cached buffer.
-            grad_cols_matrix = backend.gemm(
-                grad_matrix, weight_matrix,
-                out=workspace("conv2d.grad_cols",
-                              (n * out_h * out_w, kh * kw * c_in), grad.dtype),
-            )  # (N*oh*ow, kh*kw*C)
-            # Fold the patch gradients in their native patch-major layout:
-            # each kernel offset reads contiguous C-sized chunks of the
-            # GEMM output and accumulates into an NHWC padded image,
-            # avoiding the badly-strided reads a transposed col2im view
-            # would incur.
-            grad_cols = grad_cols_matrix.reshape(n, out_h, out_w, kh, kw, c_in)
-            padded_shape = (n, h + 2 * ph, w_in + 2 * pw, c_in)
-            if sh == 1 and sw == 1:
-                # Stride-1 fast path: offset (0, 0) covers all but the
-                # trailing kh-1 rows / kw-1 cols, so assign it into
-                # uninitialized memory (zeroing only those strips) and
-                # skip both the full zero fill and one accumulation pass.
-                grad_padded = np.empty(padded_shape, dtype=grad.dtype)
-                if kh > 1:
-                    grad_padded[:, out_h:, :, :] = 0.0
-                if kw > 1:
-                    grad_padded[:, :out_h, out_w:, :] = 0.0
-                grad_padded[:, :out_h, :out_w, :] = grad_cols[:, :, :, 0, 0, :]
-                offsets = [(i, j) for i in range(kh) for j in range(kw)][1:]
-            else:
-                grad_padded = np.zeros(padded_shape, dtype=grad.dtype)
-                offsets = [(i, j) for i in range(kh) for j in range(kw)]
-            for i, j in offsets:
-                i_end = i + sh * out_h
-                j_end = j + sw * out_w
-                grad_padded[:, i:i_end:sh, j:j_end:sw, :] += grad_cols[:, :, :, i, j, :]
+            # One GEMM per kernel offset (see "Hot-path design"), visited
+            # in patch order so the sums match a full GEMM plus fold.
+            # numpy hands a one-column product to gemv, whose reduction
+            # order differs from gemm's, so a single-channel input takes
+            # all its offsets in one product.
+            taps = kh * kw if c_in == 1 else 1
+            plane = np.empty((n * out_h * out_w, taps * c_in), dtype=grad.dtype)
+            grad_padded = np.zeros((n, h + 2 * ph, w_in + 2 * pw, c_in), dtype=grad.dtype)
+            for first in range(0, kh * kw, taps):
+                backend.gemm(grad_matrix,
+                             weight_matrix[:, first * c_in:(first + taps) * c_in], out=plane)
+                for tap in range(taps):
+                    i, j = divmod(first + tap, kw)
+                    grad_padded[:, i:i + sh * out_h:sh, j:j + sw * out_w:sw, :] += (
+                        plane[:, tap * c_in:(tap + 1) * c_in].reshape(n, out_h, out_w, c_in)
+                    )
             grad_input = np.ascontiguousarray(
                 grad_padded[:, ph:ph + h, pw:pw + w_in, :].transpose(0, 3, 1, 2)
             )

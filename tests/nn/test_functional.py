@@ -1,9 +1,11 @@
 """Tests for the functional ops: im2col, conv2d, pooling, softmax, losses."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.backend import get_backend
+from repro.backend import BlockedBackend, get_backend
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 from repro.utils import perf
@@ -99,6 +101,10 @@ GATHER_CASES = [
 ]
 #: Odd and even spatial sizes, each with 1, 3 and 16 channels.
 GATHER_SHAPES = [(2, c, h, w) for c in (1, 3, 16) for h, w in ((5, 7), (6, 8))]
+#: The paper's conv geometry: kernel 3, stride 1, padding 1.
+PAPER_GEOMETRY = ((3, 3), (1, 1), (1, 1))
+#: Enough output rows (N*oh*ow) for the blocked backend to tile every GEMM.
+TILED_SHAPE = (16, 8, 32, 32)
 
 
 class TestGather:
@@ -116,7 +122,12 @@ class TestGather:
     @pytest.mark.parametrize("kernel,stride,padding,layout", GATHER_CASES)
     def test_conv2d_bitwise_matches_loop_reference(self, rng, kernel, stride, padding,
                                                    layout, grad_on):
-        for shape in GATHER_SHAPES:
+        shapes = list(GATHER_SHAPES)
+        if (kernel, stride, padding) == PAPER_GEOMETRY:
+            n, _, h, w = TILED_SHAPE
+            assert n * h * w >= 2 * BlockedBackend().block_rows
+            shapes.append(TILED_SHAPE)
+        for shape in shapes:
             x = make_images(rng, shape, layout)
             w = rng.standard_normal((4, shape[1], *kernel))
             b = rng.standard_normal(4)
@@ -133,10 +144,29 @@ class TestGather:
     @pytest.mark.parametrize("grad_on", [True, False])
     @pytest.mark.parametrize("stride", [1, 2])
     def test_conv2d_caches_no_pad_buffer(self, rng, stride, grad_on):
-        x = Tensor(rng.standard_normal((2, 3, 6, 6)), requires_grad=grad_on)
-        w = Tensor(rng.standard_normal((4, 3, 3, 3)), requires_grad=grad_on)
-        F.conv2d(x, w, stride=stride, padding=1)
+        x = Tensor(rng.standard_normal((2, 8, 16, 16)), requires_grad=grad_on)
+        w = Tensor(rng.standard_normal((4, 8, 3, 3)), requires_grad=grad_on)
+        out = F.conv2d(x, w, stride=stride, padding=1)
         assert not [key for key in perf.workspaces._buffers if key[0].startswith("conv2d.pad")]
+        if not grad_on:
+            return
+        grad = np.ones_like(out.data)
+        perf.workspaces.clear()
+        tracemalloc.start()
+        try:
+            out.backward(grad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not [key for key in perf.workspaces._buffers
+                    if key[0].startswith("conv2d.grad_cols")]
+        if stride == 1:
+            # Overlapping windows: the (N*oh*ow, kh*kw*C) patch-gradient
+            # matrix is 9x the input, so staying below it means the input
+            # gradient was never built through it.  (At stride 2 it is
+            # barely larger than the padded image itself.)
+            n, _, oh, ow = out.shape
+            assert peak < n * oh * ow * w.data[0].size * grad.itemsize
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_padded_max_pool_training_matches_window_max(self, rng, stride, gradcheck):
