@@ -154,8 +154,9 @@ class TrainingConfig:
         than surfacing as drops), duplicate deliveries are idempotently
         deduplicated at the receiving shard, and a sender that exhausts
         ``retry_max`` retries gives up exactly once (``gave_up`` joins
-        the drop-accounting balance).  ``False`` (the default) keeps the
-        PR 7 fire-and-forget semantics bit-for-bit.
+        the drop-accounting balance).  ``False`` (the default) makes every
+        transfer one attempt: a loss is a transport drop, and the client
+        learns of it at once.
     retry_timeout_s / retry_backoff / retry_max / retry_jitter /
     retry_timeout_cap_s:
         Reliable-delivery retransmission knobs: attempt ``k`` times out

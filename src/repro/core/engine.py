@@ -32,12 +32,18 @@ by ``tests/core/test_engine_equivalence.py`` and
 
 Lossy-network semantics
 -----------------------
-Every way a batch can be lost funnels through
-:meth:`EndSystem.notify_drop`, so client-side pending activations never
-leak:
+Every activation and gradient transfer takes one delivery path
+(:meth:`TrainingEngine._deliver`), resolved eagerly into its wire
+arrivals or a give-up time.  With reliability off a transfer is a single
+attempt whose loss gives up at once and counts as a transport drop; with
+``reliable_delivery`` it is an ack/timeout retry chain whose lost copies
+are absorbed as retries, whose late copies the receiver deduplicates,
+and which gives up (``gave_up``) at its last deadline.  Every way a batch
+can be lost funnels through :meth:`EndSystem.notify_drop`, so
+client-side pending activations never leak:
 
-* the uplink drops the message in transit (the client immediately moves
-  on to its next batch);
+* the uplink loses the message for good (the client moves on to its
+  next batch at the give-up time);
 * a bounded queue (``TrainingConfig.max_queue_size``) overflows under the
   ``"drop"`` backpressure policy.  The server NACKs the client **over the
   downlink**: the client learns of the loss one downlink delay after the
@@ -45,8 +51,8 @@ leak:
   activation and ships its next batch.  A NACK lost in transit degrades
   to an immediate notification (the timeout abstraction also used for
   lost gradients), so accounting never leaks;
-* the downlink drops the gradient (the client forgets the batch when the
-  server's reply fails to appear).
+* the downlink loses the gradient for good (the client forgets the batch
+  when the server's reply fails to appear).
 
 Under the ``"block"`` backpressure policy nothing is ever shed at the
 queue: an end-system defers its next send until its shard's queue has
@@ -88,9 +94,10 @@ with the feature off the engine schedules no checkpoint events at all.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterator, List, Optional, Tuple
+from functools import partial
+from typing import DefaultDict, Deque, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -368,9 +375,6 @@ class TrainingEngine:
             "engine.queue_wait_seconds", QUEUE_WAIT_BOUNDS_S)
         self._obs_retries = self.obs.registry.histogram(
             "engine.retries_per_transfer", RETRY_BOUNDS)
-        #: Attempts shipped by the most recent reliable transfer (trace
-        #: span annotation only; meaningless with reliability off).
-        self._obs_last_attempts = 0
         #: Retry-timeout jitter stream (reliable delivery only): seeded
         #: from the run seed so identical configs retry identically;
         #: ``None`` with the feature off so no RNG state even exists.
@@ -387,7 +391,7 @@ class TrainingEngine:
         # Deferred sends of clients whose shard is down (async mode):
         # system id -> number of sends to re-issue once the client is
         # failed over or its shard recovers.
-        self._stranded: Dict[int, int] = {}
+        self._stranded: DefaultDict[int, int] = defaultdict(int)
         # Per-epoch callbacks the mode drivers install so the shared
         # crash/recovery machinery can restart round chains, re-trigger
         # sends and unblock rendezvous without knowing the mode.
@@ -400,6 +404,7 @@ class TrainingEngine:
             "on_shard_down": lambda sim, runtime, flushed, parked: None,
             "on_shard_up": lambda sim, runtime: None,
             "on_client_moved": lambda sim, end_system, runtime, was_parked: None,
+            "on_link_up": lambda sim, end_system: None,
         }
 
     # ------------------------------------------------------------------ #
@@ -417,76 +422,44 @@ class TrainingEngine:
             return True
         return len(runtime.shard.queue) + runtime.in_transit < capacity
 
-    def _send_uplink(
-        self,
-        end_system: EndSystem,
-        images: np.ndarray,
-        labels: np.ndarray,
-        at_time: float,
-        round_index: int = 0,
-    ) -> Optional[ActivationMessage]:
-        """Forward a batch and ship it; ``None`` when the uplink dropped it."""
-        message = end_system.forward_batch(
-            images, labels, round_index=round_index, created_at=at_time
-        )
-        network_message = self.transport.send_to_server(
-            self.system_to_node[end_system.system_id],
-            {"activations": message.activations, "labels": message.labels},
-            now=at_time,
-        )
-        if network_message is None:
-            end_system.notify_drop(message.batch_id)
-            return None
-        message.arrival_time = network_message.arrival_time
-        message.size_bytes = network_message.size_bytes
-        duplicate_arrival = network_message.metadata.get(DUPLICATE_ARRIVAL_KEY)
-        if duplicate_arrival is not None:
-            # Chaos duplication cloned the wire message: both copies land
-            # (the receiver deduplicates), and the barrier/arrival logic
-            # reads the full arrival list from the metadata.
-            message.metadata["wire_arrivals"] = sorted(
-                [network_message.arrival_time, float(duplicate_arrival)]
-            )
-        if self.obs.tracer.enabled:
-            self._obs_uplink(end_system, message, at_time)
-        return message
+    def _deliver(self, send, at_time: float):
+        """Resolve one transfer's every attempt eagerly.
 
-    def _ship_with_retries(self, ship, at_time: float):
-        """Resolve one reliable transfer's full retry chain eagerly.
+        ``send(now=t, reliable=...)`` performs one physical send attempt
+        at time ``t`` and returns the wire message (or ``None`` when the
+        network lost it).  With reliability off a transfer is a single
+        attempt: it draws no jitter and a loss gives up at ``at_time``.
+        With ``reliable_delivery`` on, attempt ``k`` is acknowledged when
+        its copy arrives within ``min(cap, timeout * backoff**k)`` (plus
+        seeded jitter) of being sent; a missing ack triggers a
+        retransmission at the deadline — even when the earlier copy is
+        merely *late* (a spurious timeout: both copies stay in flight and
+        the receiver deduplicates).  The chain ends at the first
+        in-deadline arrival or after ``retry_max`` retransmissions, and
+        its lost copies are absorbed into the ``retried`` traffic
+        counters instead of the drop ledger.
 
-        ``ship(t)`` performs one physical send attempt at time ``t`` and
-        returns the wire message (or ``None`` when the network lost it).
-        Attempt ``k`` is acknowledged when its copy arrives within
-        ``min(cap, timeout * backoff**k)`` (plus seeded jitter) of being
-        sent; a missing ack triggers a retransmission at the deadline —
-        even when the earlier copy is merely *late* (a spurious timeout:
-        both copies stay in flight and the receiver deduplicates).  The
-        chain ends at the first in-deadline arrival or after
-        ``retry_max`` retransmissions.
-
-        Returns ``(deliveries, give_up_time)``: the wire messages that
-        physically made it, sorted by arrival (possibly several), and
-        the deadline at which the sender abandons the transfer when
-        ``deliveries`` is empty.  A transfer counts as *given up* only
-        when every attempt was physically lost — a copy that arrives
-        after its deadline still completes the transfer.
+        Returns ``(deliveries, give_up_time, attempts)``: the wire
+        messages that physically made it, sorted by arrival (possibly
+        several), the time at which the sender abandons the transfer
+        when ``deliveries`` is empty, and the attempts shipped.  A
+        transfer is lost only when every attempt was physically lost — a
+        copy that arrives after its deadline still completes it.
         """
         config = self.config
-        attempt_time = at_time
+        if not config.reliable_delivery:
+            wire = send(now=at_time)
+            return ([] if wire is None else [wire]), at_time, 1
+        attempt_time = give_up_time = at_time
         deliveries = []
-        give_up_time = at_time
         for attempt in range(config.retry_max + 1):
-            wire = ship(attempt_time)
+            wire = send(now=attempt_time, reliable=True)
             if attempt > 0:
                 self.stats.retries += 1
-            timeout = min(
-                config.retry_timeout_cap_s,
-                config.retry_timeout_s * config.retry_backoff ** attempt,
-            )
+            timeout = min(config.retry_timeout_cap_s,
+                          config.retry_timeout_s * config.retry_backoff ** attempt)
             if config.retry_jitter > 0.0:
-                timeout *= 1.0 + float(
-                    self._retry_rng.uniform(0.0, config.retry_jitter)
-                )
+                timeout *= 1.0 + float(self._retry_rng.uniform(0.0, config.retry_jitter))
             deadline = attempt_time + timeout
             if wire is not None:
                 deliveries.append(wire)
@@ -498,84 +471,67 @@ class TrainingEngine:
             attempt_time = deadline
         deliveries.sort(key=lambda wire: wire.arrival_time)
         if self.obs.enabled:
-            # ``attempt`` leaks the last loop index: attempts = index + 1.
-            self._obs_last_attempts = attempt + 1
             self._obs_retries.observe(attempt)
-        return deliveries, give_up_time
+        return deliveries, give_up_time, attempt + 1  # last loop index + 1
 
-    def _send_uplink_reliable(
-        self,
-        end_system: EndSystem,
-        images: np.ndarray,
-        labels: np.ndarray,
-        at_time: float,
-        round_index: int = 0,
-    ) -> ActivationMessage:
-        """Reliable-delivery uplink: forward once, retransmit until acked.
+    def _send_uplink(self, end_system: EndSystem, images: np.ndarray, labels: np.ndarray,
+                     at_time: float, round_index: int = 0,
+                     ) -> Tuple[ActivationMessage, List[float], float]:
+        """Forward a batch once and deliver it to the client's shard.
 
         Retransmissions reship the *same* smashed activations (the client
         segment ran exactly once — a retry is a network event, not a
-        recompute).  On delivery the message carries every copy's
-        arrival in ``metadata["wire_arrivals"]`` and is stamped with the
-        earliest; when every attempt was lost, ``metadata["gave_up_at"]``
-        holds the deadline at which the client abandons the batch.
+        recompute).  Returns ``(message, arrivals, give_up_time)``:
+        ``arrivals`` holds every copy's wire arrival, sorted (retries and
+        chaos duplicates included; the message is stamped with the
+        earliest), and is empty when the transfer was lost — the client
+        then abandons the batch at ``give_up_time``.
         """
         message = end_system.forward_batch(
             images, labels, round_index=round_index, created_at=at_time
         )
-        node = self.system_to_node[end_system.system_id]
         payload = {"activations": message.activations, "labels": message.labels}
-        deliveries, give_up_time = self._ship_with_retries(
-            lambda t: self.transport.send_to_server(
-                node, payload, now=t, reliable=True
-            ),
+        deliveries, give_up_time, attempts = self._deliver(
+            partial(self.transport.send_to_server,
+                    self.system_to_node[end_system.system_id], payload),
             at_time,
         )
-        if not deliveries:
-            message.metadata["gave_up_at"] = give_up_time
-            return message
         arrivals: List[float] = []
         for wire in deliveries:
             arrivals.append(wire.arrival_time)
             duplicate_arrival = wire.metadata.get(DUPLICATE_ARRIVAL_KEY)
             if duplicate_arrival is not None:
+                # Chaos duplication cloned the wire message: both copies
+                # land (the receiver deduplicates).
                 arrivals.append(float(duplicate_arrival))
-        arrivals.sort()
-        message.arrival_time = arrivals[0]
-        message.size_bytes = deliveries[0].size_bytes
-        message.metadata["wire_arrivals"] = arrivals
-        if self.obs.tracer.enabled:
-            self._obs_uplink(end_system, message, at_time)
-        return message
+        if arrivals:
+            arrivals.sort()
+            message.arrival_time = arrivals[0]
+            message.size_bytes = deliveries[0].size_bytes
+            if self.obs.tracer.enabled:
+                self._obs_uplink(end_system, message, at_time, attempts)
+        return message, arrivals, give_up_time
 
     def _send_downlink(self, end_system: EndSystem, gradient_message: GradientMessage,
                        at_time: float):
-        return self.transport.send_to_end_system(
-            self.system_to_node[end_system.system_id],
-            gradient_message.gradient,
-            now=at_time,
-        )
-
-    def _send_downlink_reliable(
-        self, end_system: EndSystem, gradient_message: GradientMessage,
-        at_time: float,
-    ):
-        """Reliable-delivery downlink (``(deliveries, give_up_time)``)."""
-        node = self.system_to_node[end_system.system_id]
-        return self._ship_with_retries(
-            lambda t: self.transport.send_to_end_system(
-                node, gradient_message.gradient, now=t, reliable=True
-            ),
+        """Deliver a gradient to its client (see :meth:`_deliver`)."""
+        return self._deliver(
+            partial(self.transport.send_to_end_system,
+                    self.system_to_node[end_system.system_id],
+                    gradient_message.gradient),
             at_time,
         )
 
-    @staticmethod
-    def _uplink_arrivals(message: ActivationMessage) -> List[float]:
-        """Every wire arrival of a delivered uplink message (sorted)."""
-        arrivals = message.metadata.get("wire_arrivals")
-        if arrivals is None:
-            return [message.arrival_time]
-        return list(arrivals)
+    def _give_up(self, end_system: EndSystem, batch_id: int) -> None:
+        """The client abandons a transfer that was lost for good.
+
+        A retry chain's lost copies were absorbed as ``retried`` traffic,
+        so it joins the drop ledger as one ``gave_up``; a single
+        attempt's loss is already there as a transport drop.
+        """
+        if self.config.reliable_delivery:
+            self.stats.gave_up += 1
+        end_system.notify_drop(batch_id)
 
     def _send_nack(self, sim: Simulator, message: ActivationMessage,
                    end_system: EndSystem, on_notified=None) -> None:
@@ -915,8 +871,8 @@ class TrainingEngine:
                         start_time + step_time, pid=shard_id,
                         args={"batches": len(results)})
 
-    def _obs_uplink(self, end_system: EndSystem,
-                    message: ActivationMessage, sent_at: float) -> None:
+    def _obs_uplink(self, end_system: EndSystem, message: ActivationMessage,
+                    sent_at: float, attempts: int) -> None:
         """Trace one delivered uplink (called only when the tracer is on)."""
         tracer = self.obs.tracer
         if not tracer.sampled(
@@ -924,8 +880,8 @@ class TrainingEngine:
             return
         args: Dict[str, object] = {"batch": message.batch_id,
                                    "bytes": message.size_bytes}
-        if self.config.reliable_delivery and self._obs_last_attempts > 1:
-            args["attempts"] = self._obs_last_attempts
+        if attempts > 1:
+            args["attempts"] = attempts
         tracer.span(
             "uplink", "message", sent_at, message.arrival_time,
             pid=self._runtime_of[end_system.system_id].shard.shard_id,
@@ -1247,7 +1203,9 @@ class TrainingEngine:
         * ``flap``/``leave`` — the client's access link goes down at
           ``begin`` and comes back at ``end``; in-flight and future
           sends are lost on the wire and funnel through the ordinary
-          loss (or retry) paths, so no special stranding is needed.
+          loss (or retry) paths.  An asynchronous client whose single
+          attempt was lost on the down link waits for ``end`` to re-issue
+          its next send.
         * ``partition`` — the hub↔hub edge is administratively
           partitioned (both directions) until the matching ``end``.
         * ``straggler`` — the shard's service time is multiplied by
@@ -1268,6 +1226,8 @@ class TrainingEngine:
             topology.set_node_up(node, event.phase == "end")
             logger.info("chaos: %s %s for %s at t=%.4fs", event.kind,
                         event.phase, node, sim.now)
+            if event.phase == "end":
+                self._epoch_hooks["on_link_up"](sim, self._by_id[int(event.target)])
         elif event.kind == "partition":
             node_a = self._runtimes[int(event.target)].shard.node_name
             node_b = self._runtimes[int(event.peer)].shard.node_name
@@ -1393,32 +1353,17 @@ class TrainingEngine:
                 except StopIteration:
                     runtime.active.discard(end_system.system_id)
                     continue
-                if self.config.reliable_delivery:
-                    message = self._send_uplink_reliable(
-                        end_system, images, labels, runtime.clock,
-                        round_index=round_index,
-                    )
-                    gave_up_at = message.metadata.get("gave_up_at")
-                    if gave_up_at is not None:
-                        # Every retry was physically lost.  The client
-                        # learns at the give-up deadline and ships its
-                        # next batch when the following round starts —
-                        # the same cadence as the unreliable loss path.
-                        self.stats.gave_up += 1
-                        end_system.notify_drop(message.batch_id)
-                        latest_give_up = max(latest_give_up, gave_up_at)
-                        continue
-                else:
-                    message = self._send_uplink(
-                        end_system, images, labels, runtime.clock,
-                        round_index=round_index,
-                    )
-                    if message is None:
-                        # The link dropped the batch; the client forgets it
-                        # and ships its next batch when the following round
-                        # starts.
-                        continue
-                arrivals = self._uplink_arrivals(message)
+                message, arrivals, give_up_time = self._send_uplink(
+                    end_system, images, labels, runtime.clock,
+                    round_index=round_index,
+                )
+                if not arrivals:
+                    # Lost in transit: the client forgets the batch at the
+                    # give-up time and ships its next batch when a
+                    # following round starts.
+                    self._give_up(end_system, message.batch_id)
+                    latest_give_up = max(latest_give_up, give_up_time)
+                    continue
                 runtime.in_transit += len(arrivals)
                 in_flight += 1
                 last_arrival = max(last_arrival, arrivals[-1])
@@ -1447,12 +1392,10 @@ class TrainingEngine:
                     label="round-barrier",
                 )
             elif runtime.active:
-                # Every send this round was dropped in transit; retry
-                # immediately — the simulated clock does not advance
-                # (reliable delivery is the exception: abandoned retry
-                # chains occupied the sender until their give-up
-                # deadlines, so the round clock moves there instead of
-                # spinning at a frozen instant).
+                # Every send this round was lost in transit; the next
+                # round starts at the latest give-up time — at once for
+                # single-attempt losses, after the deadlines of abandoned
+                # retry chains (the senders were busy retrying).
                 runtime.clock = max(runtime.clock, latest_give_up)
                 schedule_round_start(max(sim.now, runtime.clock), runtime,
                                      round_index + 1)
@@ -1533,37 +1476,23 @@ class TrainingEngine:
                     count=activation_message.batch_size,
                 )
                 end_system = self._by_id[activation_message.end_system_id]
-                if self.config.reliable_delivery:
-                    deliveries, give_up_time = self._send_downlink_reliable(
-                        end_system, gradient_message, send_time
-                    )
-                    if not deliveries:
-                        # Every retry lost: the client abandons the batch
-                        # at the give-up deadline, which also holds its
-                        # next round back (the sender was busy retrying).
-                        self.stats.gave_up += 1
-                        end_system.notify_drop(gradient_message.batch_id)
-                        gradient_arrivals.append(give_up_time)
-                        continue
-                    # The earliest copy completes back-propagation; any
-                    # spurious-timeout duplicates change nothing (the
-                    # gradient is applied inline exactly once).
-                    gradient_arrivals.append(deliveries[0].arrival_time)
-                    if self.obs.tracer.enabled:
-                        self._obs_downlink(end_system,
-                                           gradient_message.batch_id,
-                                           send_time,
-                                           deliveries[0].arrival_time)
-                    end_system.apply_gradient(gradient_message)
+                deliveries, give_up_time, _ = self._send_downlink(
+                    end_system, gradient_message, send_time
+                )
+                if not deliveries:
+                    # The client abandons the batch at the give-up time,
+                    # which also holds its next round back.
+                    self._give_up(end_system, gradient_message.batch_id)
+                    gradient_arrivals.append(give_up_time)
                     continue
-                downlink = self._send_downlink(end_system, gradient_message, send_time)
-                if downlink is None:
-                    end_system.notify_drop(gradient_message.batch_id)
-                    continue
-                gradient_arrivals.append(downlink.arrival_time)
+                # The earliest copy completes back-propagation; any
+                # spurious-timeout duplicates change nothing (the
+                # gradient is applied inline exactly once).
+                arrival = deliveries[0].arrival_time
+                gradient_arrivals.append(arrival)
                 if self.obs.tracer.enabled:
                     self._obs_downlink(end_system, gradient_message.batch_id,
-                                       send_time, downlink.arrival_time)
+                                       send_time, arrival)
                 end_system.apply_gradient(gradient_message)
             # Shard-local barrier: this shard's next round starts once its
             # own gradients have landed (and not before this barrier fired).
@@ -1827,6 +1756,7 @@ class TrainingEngine:
             maybe_fire_sync(sim)
 
         self._epoch_hooks = {
+            **self._inert_hooks(),
             "live": lambda: len(finished) < len(self._runtimes),
             "on_shard_down": on_shard_down,
             "on_shard_up": ensure_chain_running,
@@ -1879,79 +1809,84 @@ class TrainingEngine:
         sim = Simulator()
         exhausted: set = set()
         in_flight: Dict[int, Tuple[ActivationMessage, EndSystem]] = {}
-        # Reliable delivery: transfers whose every retry was physically
-        # lost, keyed by (system id, batch id) and resolved by a give-up
-        # event at the retry chain's final deadline (a budget stop drains
-        # them as plain cancellations instead — the losses were absorbed,
-        # so no drop notification is owed).
-        pending_giveups: Dict[Tuple[int, int], Tuple[EndSystem, int]] = {}
-        # Gradient transfers that already completed back-propagation —
-        # the landing guard that makes duplicate downlink copies inert.
-        landed: set = set()
-        self._stranded = {}
+        # Batches whose fate a later event decides, keyed by (system id,
+        # batch id): a retry chain's give-up deadline, or the landing of
+        # a delivered gradient (the first copy to land pops the entry,
+        # which makes later duplicate copies inert).  A budget stop
+        # cancels whatever is left.
+        awaiting: Dict[Tuple[int, int], EndSystem] = {}
+        self._stranded = defaultdict(int)
         for runtime in self._runtimes:
             runtime.in_transit = 0
             runtime.waiting.clear()
             runtime.next_free = self.clock
             runtime.dispatch_scheduled = False
 
+        def abandon(end_system: EndSystem, batch_id: int, sent_at: float,
+                    give_up_time: float) -> bool:
+            """Resolve a lost transfer; ``True`` when it was forgotten at once.
+
+            A retry chain instead keeps the batch pending until its
+            give-up deadline, when the client abandons it and moves on.
+            """
+            if give_up_time <= sent_at:
+                self._give_up(end_system, batch_id)
+                return True
+            key = (end_system.system_id, batch_id)
+            awaiting[key] = end_system
+
+            def fire_give_up(give_up_sim: Simulator) -> None:
+                if awaiting.pop(key, None) is None:
+                    return  # already drained by a budget stop
+                self._give_up(end_system, batch_id)
+                try_send(end_system, give_up_sim.now)
+
+            sim.schedule(give_up_time, fire_give_up, priority=PRIORITY_LANDING,
+                         label="give-up")
+            return False
+
         def try_send(end_system: EndSystem, at_time: float) -> None:
-            if end_system.system_id in exhausted or sim.stopped:
-                return
-            if stop_time is not None and at_time >= stop_time:
-                # Past the budget: stop feeding new work into the pipeline.
-                return
-            runtime = self._runtime_of[end_system.system_id]
-            if not runtime.shard.healthy:
-                # The client's shard is down and nobody has failed it
-                # over (yet): park the send — failover or recovery
-                # re-issues it.
-                self._stranded[end_system.system_id] = (
-                    self._stranded.get(end_system.system_id, 0) + 1
-                )
-                return
-            if self._blocking() and not self._queue_has_room(runtime):
-                runtime.waiting.append(end_system)
-                self.stats.blocked_sends += 1
-                return
-            try:
-                images, labels = next(iterators[end_system.system_id])
-            except StopIteration:
-                exhausted.add(end_system.system_id)
-                return
-            if self.config.reliable_delivery:
-                message = self._send_uplink_reliable(
+            # A loop, not recursion: a single-attempt loss moves the
+            # client straight on to its next batch, and a run of losses
+            # must not grow the stack by one frame per lost batch.
+            while True:
+                if end_system.system_id in exhausted or sim.stopped:
+                    return
+                if stop_time is not None and at_time >= stop_time:
+                    # Past the budget: stop feeding new work into the
+                    # pipeline.
+                    return
+                runtime = self._runtime_of[end_system.system_id]
+                if not runtime.shard.healthy:
+                    # The client's shard is down and nobody has failed it
+                    # over (yet): park the send — failover or recovery
+                    # re-issues it.
+                    self._stranded[end_system.system_id] += 1
+                    return
+                if self._blocking() and not self._queue_has_room(runtime):
+                    runtime.waiting.append(end_system)
+                    self.stats.blocked_sends += 1
+                    return
+                try:
+                    images, labels = next(iterators[end_system.system_id])
+                except StopIteration:
+                    exhausted.add(end_system.system_id)
+                    return
+                message, arrivals, give_up_time = self._send_uplink(
                     end_system, images, labels, at_time
                 )
-                gave_up_at = message.metadata.get("gave_up_at")
-                if gave_up_at is not None:
-                    # Every retry was physically lost: the client keeps
-                    # the batch pending until the give-up deadline, then
-                    # abandons it and computes its next one.
-                    key = (end_system.system_id, message.batch_id)
-                    pending_giveups[key] = (end_system, message.batch_id)
-
-                    def fire_give_up(give_up_sim: Simulator, k=key,
-                                     e=end_system, m=message) -> None:
-                        if pending_giveups.pop(k, None) is None:
-                            return  # already drained by a budget stop
-                        self.stats.gave_up += 1
-                        e.notify_drop(m.batch_id)
-                        try_send(e, give_up_sim.now)
-
-                    sim.schedule(gave_up_at, fire_give_up,
-                                 priority=PRIORITY_LANDING,
-                                 label="uplink-give-up")
+                if arrivals:
+                    break
+                if not abandon(end_system, message.batch_id, at_time,
+                               give_up_time):
                     return
-                arrivals = self._uplink_arrivals(message)
-            else:
-                message = self._send_uplink(end_system, images, labels, at_time)
-                if message is None:
-                    # Dropped in transit; the lost batch is forgotten and
-                    # the client immediately computes its next one.
-                    try_send(end_system, at_time)
+                node = self.system_to_node[end_system.system_id]
+                if not self.transport.topology.uplink(node).up:
+                    # Every single attempt over a down access link is lost:
+                    # hold the next batch until the link is back instead of
+                    # spinning through the client's data at one instant.
+                    self._stranded[end_system.system_id] += 1
                     return
-                arrivals = self._uplink_arrivals(message)
             runtime.in_transit += len(arrivals)
             in_flight[message.sequence] = (message, end_system)
             for arrival in arrivals:
@@ -2035,74 +1970,39 @@ class TrainingEngine:
                     count=activation_message.batch_size,
                 )
                 end_system = self._by_id[activation_message.end_system_id]
-                if self.config.reliable_delivery:
-                    deliveries, give_up_time = self._send_downlink_reliable(
-                        end_system, gradient_message, finish_time
-                    )
-                    if not deliveries:
-                        # Every retry lost: the client abandons the batch
-                        # at the give-up deadline and moves on then.
-                        key = (end_system.system_id,
-                               gradient_message.batch_id)
-                        pending_giveups[key] = (end_system,
-                                                gradient_message.batch_id)
-
-                        def fire_give_up(give_up_sim: Simulator, k=key,
-                                         e=end_system,
-                                         g=gradient_message) -> None:
-                            if pending_giveups.pop(k, None) is None:
-                                return
-                            self.stats.gave_up += 1
-                            e.notify_drop(g.batch_id)
-                            try_send(e, give_up_sim.now)
-
-                        self.clock = max(self.clock, give_up_time)
-                        sim.schedule(give_up_time, fire_give_up,
-                                     priority=PRIORITY_LANDING,
-                                     label="downlink-give-up")
-                        continue
-                    # The earliest copy completes back-propagation; any
-                    # later duplicates are absorbed by the landing guard.
-                    # The shard's flow control waits only on that first
-                    # copy — a spurious duplicate must not throttle it.
-                    arrival = deliveries[0].arrival_time
-                    next_dispatch_at = max(next_dispatch_at, arrival)
-                    self.clock = max(self.clock, arrival)
-                    if self.obs.tracer.enabled:
-                        self._obs_downlink(end_system,
-                                           gradient_message.batch_id,
-                                           finish_time, arrival)
-                    for wire in deliveries:
+                deliveries, give_up_time, _ = self._send_downlink(
+                    end_system, gradient_message, finish_time
+                )
+                if not deliveries:
+                    self.clock = max(self.clock, give_up_time)
+                    if abandon(end_system, gradient_message.batch_id,
+                               finish_time, give_up_time):
+                        # The client moves on as soon as the step has ended.
                         sim.schedule(
-                            wire.arrival_time,
-                            lambda s, e=end_system,
-                            g=gradient_message: land(s, e, g),
+                            finish_time,
+                            lambda s, e=end_system: try_send(e, s.now),
                             priority=PRIORITY_LANDING,
-                            label="gradient-landing",
+                            label="gradient-lost",
                         )
                     continue
-                downlink = self._send_downlink(end_system, gradient_message, finish_time)
-                if downlink is None:
-                    end_system.notify_drop(gradient_message.batch_id)
-                    # The client moves on as soon as the step has ended.
-                    sim.schedule(
-                        finish_time,
-                        lambda s, e=end_system: try_send(e, s.now),
-                        priority=PRIORITY_LANDING,
-                        label="gradient-lost",
-                    )
-                    continue
-                next_dispatch_at = max(next_dispatch_at, downlink.arrival_time)
-                self.clock = max(self.clock, downlink.arrival_time)
+                # The earliest copy completes back-propagation; any later
+                # duplicates are absorbed by the landing guard.  The
+                # shard's flow control waits only on that first copy — a
+                # spurious duplicate must not throttle it.
+                arrival = deliveries[0].arrival_time
+                next_dispatch_at = max(next_dispatch_at, arrival)
+                self.clock = max(self.clock, arrival)
                 if self.obs.tracer.enabled:
                     self._obs_downlink(end_system, gradient_message.batch_id,
-                                       finish_time, downlink.arrival_time)
-                sim.schedule(
-                    downlink.arrival_time,
-                    lambda s, e=end_system, g=gradient_message: land(s, e, g),
-                    priority=PRIORITY_LANDING,
-                    label="gradient-landing",
-                )
+                                       finish_time, arrival)
+                awaiting[(end_system.system_id, gradient_message.batch_id)] = end_system
+                for wire in deliveries:
+                    sim.schedule(
+                        wire.arrival_time,
+                        lambda s, e=end_system, g=gradient_message: land(s, e, g),
+                        priority=PRIORITY_LANDING,
+                        label="gradient-landing",
+                    )
             if (
                 self.cluster.num_shards > 1
                 and self._healthy_count() > 1
@@ -2130,22 +2030,23 @@ class TrainingEngine:
 
         def land(sim: Simulator, end_system: EndSystem,
                  gradient_message: GradientMessage) -> None:
-            if self.config.reliable_delivery:
-                # Only the first copy of a gradient completes the batch;
-                # spurious-timeout duplicates land and evaporate (and
-                # must not mint extra send tokens).
-                key = (end_system.system_id, gradient_message.batch_id)
-                if key in landed:
-                    return
-                landed.add(key)
+            # Only the first copy of a gradient completes the batch;
+            # spurious-timeout duplicates land and evaporate (and must not
+            # mint extra send tokens).
+            if awaiting.pop((end_system.system_id, gradient_message.batch_id),
+                            None) is None:
+                return
             end_system.apply_gradient(gradient_message)
             # The client computes its next batch as soon as the gradient lands.
             try_send(end_system, sim.now)
 
         def halt(sim: Simulator) -> None:
-            # Budget exhausted.  Abandon whatever has not been trained on —
-            # uplinks still in flight and messages sitting in the shard
-            # queues — and make sure the owning clients forget the
+            # Budget exhausted.  Abandon every unfinished batch — uplinks
+            # in flight, queued messages, gradients still on the downlink
+            # (another shard's step may have shipped them just before this
+            # one hit the budget) and pending give-ups, whose absorbed
+            # losses owe no drop notification (one would tilt the
+            # balance) — and make sure the owning clients forget the
             # activations.
             if stop_time is not None:
                 self.clock = max(self.clock, stop_time)
@@ -2153,14 +2054,10 @@ class TrainingEngine:
                 end_system.discard_pending(message.batch_id)
                 self.stats.cancelled_at_stop += 1
             in_flight.clear()
-            # Pending reliable-delivery give-ups resolve as plain
-            # cancellations: their losses were absorbed into the retry
-            # ledger, so no drop notification is owed (and none may be
-            # issued, or the cross-layer balance would tilt).
-            for end_system, batch_id in pending_giveups.values():
+            for (_, batch_id), end_system in awaiting.items():
                 end_system.discard_pending(batch_id)
                 self.stats.cancelled_at_stop += 1
-            pending_giveups.clear()
+            awaiting.clear()
             # Queue-dropped batches whose NACK is still in flight resolve
             # as if the NACK had just landed (they were already counted
             # as queue drops, not cancellations).
@@ -2183,7 +2080,9 @@ class TrainingEngine:
         def live() -> bool:
             if sim.stopped:
                 return False
-            if len(exhausted) < len(self.end_systems):
+            # Past the time budget no new work can enter the pipeline.
+            feeding = stop_time is None or sim.now < stop_time
+            if feeding and len(exhausted) < len(self.end_systems):
                 return True
             return bool(in_flight) or any(
                 runtime.shard.has_pending() for runtime in self._runtimes
@@ -2219,6 +2118,7 @@ class TrainingEngine:
             "on_shard_down": on_shard_down,
             "on_shard_up": on_shard_up,
             "on_client_moved": on_client_moved,
+            "on_link_up": lambda sim, es: on_client_moved(sim, es, None, False),
         }
         try:
             # Prime the pipeline: every client ships max_in_flight batches.
